@@ -57,8 +57,16 @@ class InternTable:
             return code
 
     def intern_many(self, values) -> List[int]:
-        """Codes for an iterable of values, in order."""
-        return [self.intern(value) for value in values]
+        """Codes for *values*, in order: exactly what an :meth:`intern` loop
+        assigns, under one lock (``_values`` grows before ``_codes`` publishes)."""
+        values = list(values)
+        codes = self._codes
+        with self._lock:
+            fresh = [value for value in dict.fromkeys(values) if value not in codes]
+            start = len(self._values)
+            self._values.extend(fresh)
+            codes.update(zip(fresh, range(start, start + len(fresh))))
+        return list(map(codes.__getitem__, values))
 
     def lookup(self, value) -> Optional[int]:
         """The code for *value* if already interned, else ``None``."""

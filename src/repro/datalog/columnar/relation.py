@@ -7,7 +7,8 @@ plus two acceleration structures:
 * a **packed row-key set** — every row folded into one Python int
   (:func:`pack_codes`), giving O(1) membership and C-speed set
   difference for dedup; keys are arity-seeded, so keys from relations
-  of different arities can never collide inside a shared bucket;
+  of different arities can never collide inside a shared bucket (built
+  lazily for bulk-encoded relations; the vector lane never reads it);
 * **lazy per-position hash indexes** — ``code -> [row ids]``, built on
   first probe of a position and maintained on append, mirroring the
   tuple layout's persistent indexes.
@@ -20,7 +21,7 @@ than deleting in place (see :mod:`repro.datalog.columnar.store`).
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Bits reserved per column in a packed row key.  Codes are dense intern
 #: indexes, so 32 bits covers 4G distinct constants; keys of arity-k rows
@@ -61,12 +62,18 @@ def unpack_key(key: int, arity: int) -> Tuple[int, ...]:
 class ColumnarRelation:
     """Append-only columnar rows of one predicate at one arity."""
 
-    __slots__ = ("arity", "columns", "keys", "_indexes", "_distinct", "_np")
+    __slots__ = ("arity", "columns", "_keys", "_indexes", "_distinct", "_np")
 
-    def __init__(self, arity: int):
+    def __init__(self, arity: int, columns: Optional[Sequence[array]] = None):
+        """Empty, or adopting the bulk encoder's *columns* of distinct rows
+        (key set unbuilt; an adopted arity-0 relation holds the empty row)."""
         self.arity = arity
-        self.columns: Tuple[array, ...] = tuple(array("q") for _ in range(arity))
-        self.keys: set = set()
+        if columns is None:
+            self.columns: Tuple[array, ...] = tuple(array("q") for _ in range(arity))
+            self._keys: Optional[set] = set()
+        else:
+            self.columns = tuple(columns)
+            self._keys = None if arity else {pack_codes(())}
         # position -> code -> list of row ids (built lazily, maintained on append)
         self._indexes: Dict[int, Dict[int, List[int]]] = {}
         self._distinct: Dict[int, int] = {}
@@ -77,35 +84,32 @@ class ColumnarRelation:
         self._np: Dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
-        return len(self.columns[0]) if self.arity else (1 if self.keys else 0)
+        return len(self.columns[0]) if self.arity else len(self._keys)
 
-    def append_rows(self, rows: Iterable[Sequence[int]]) -> int:
-        """Append code rows not already present; returns how many were new."""
-        added = 0
-        for codes in rows:
-            key = pack_codes(codes)
-            if key in self.keys:
-                continue
-            self.keys.add(key)
-            for position, code in enumerate(codes):
-                self.columns[position].append(code)
-            added += 1
-        if added:
-            self._note_appended(len(self) - added)
-            self._distinct.clear()
-        return added
+    @property
+    def keys(self) -> set:
+        """The packed row keys, built on first use into a local and published
+        whole, so a concurrent reader sees no key set or a complete one."""
+        keys = self._keys
+        if keys is None:
+            keys = set(map(pack_codes, zip(*self.columns)))
+            self._keys = keys
+        return keys
 
-    def extend_columns(self, columns: Sequence[Sequence[int]], keys: Iterable[int]) -> None:
-        """Bulk append of pre-deduped parallel columns (the round commit path).
+    def extend_columns(
+        self, columns: Sequence[Sequence[int]], keys: Optional[Iterable[int]] = None
+    ) -> None:
+        """Bulk append of rows known to be absent (no per-row re-check).
 
-        *keys* must be the packed keys of exactly the rows in *columns*,
-        already known to be absent — the batch fixpoint dedups against
-        :attr:`keys` before committing, so no per-row re-check happens here.
+        *keys*, the rows' packed keys, are read only when the key set is
+        built (packed from *columns* when omitted); an unbuilt one stays so.
         """
         start = len(self)
         for position, column in enumerate(columns):
             self.columns[position].extend(column)
-        self.keys.update(keys)
+        built = self._keys
+        if built is not None:
+            built.update(map(pack_codes, zip(*columns)) if keys is None else keys)
         self._note_appended(start)
         self._distinct.clear()
 
@@ -147,10 +151,6 @@ class ColumnarRelation:
             cached = len(index) if index is not None else len(set(self.columns[position]))
             self._distinct[position] = cached
         return cached
-
-    def row(self, row_id: int) -> Tuple[int, ...]:
-        """The code row at *row_id*."""
-        return tuple(column[row_id] for column in self.columns)
 
     def __contains__(self, codes: Sequence[int]) -> bool:
         return pack_codes(codes) in self.keys

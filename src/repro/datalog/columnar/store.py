@@ -6,10 +6,12 @@ groups.  The tuple relations stay the source of truth; the store is an
 acceleration structure with the same lifecycle as the database's hash
 indexes:
 
-* a predicate is **encoded on first use** (one pass interning every value
-  and packing every row);
+* a predicate is **encoded on first use** in one bulk pass: one
+  :meth:`InternTable.intern_many` call over all its values, sliced into
+  ``array('q')`` columns (the tuple set has no duplicate rows to drop);
 * encoded predicates are **maintained incrementally** by the database's
-  mutation hooks — appends extend the columns, removals simply drop the
+  mutation hooks — appends go through the same bulk intern and extend the
+  columns, removals simply drop the
   predicate's encoding so the next use re-encodes (retractions are rare
   and batch-shaped; in-place columnar deletes are not worth their
   bookkeeping);
@@ -21,12 +23,12 @@ indexes:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from array import array
+from itertools import chain
+from typing import Dict, Optional, Tuple
 
 from repro.datalog.columnar.interning import InternTable
 from repro.datalog.columnar.relation import ColumnarRelation
-
-_EMPTY_PARTS: Tuple[ColumnarRelation, ...] = ()
 
 
 class ColumnarStore:
@@ -63,15 +65,30 @@ class ColumnarStore:
         return groups.get(arity)
 
     def _encode(self, predicate: str) -> Dict[int, ColumnarRelation]:
-        intern = self.table.intern
         groups: Dict[int, ColumnarRelation] = {}
-        for values in self._database._relations.get(predicate, ()):
-            group = groups.get(len(values))
-            if group is None:
-                group = groups[len(values)] = ColumnarRelation(len(values))
-            group.append_rows(([intern(value) for value in values],))
+        self._append(groups, self._database._relations.get(predicate, ()))
         self._groups[predicate] = groups
         return groups
+
+    def _append(self, groups: Dict[int, ColumnarRelation], rows) -> None:
+        """Intern *rows* in bulk and append them to their arity groups.
+
+        Codes are assigned row-major over all of *rows*, as a row-at-a-time
+        loop would assign them, mixed arities included.
+        """
+        rows = list(rows)
+        arities = dict.fromkeys(map(len, rows))  # in first-seen order
+        if len(arities) > 1:
+            self.table.intern_many(chain.from_iterable(rows))
+        for arity in arities:
+            same = rows if len(arities) == 1 else [row for row in rows if len(row) == arity]
+            flat = self.table.intern_many(chain.from_iterable(same))
+            columns = [array("q", flat[position::arity]) for position in range(arity)]
+            group = groups.get(arity)
+            if group is None:
+                groups[arity] = ColumnarRelation(arity, columns)
+            else:
+                group.extend_columns(columns)
 
     # ------------------------------------------------------------------
     # Maintenance hooks (called by Database mutation paths)
@@ -84,14 +101,8 @@ class ColumnarStore:
         append cannot introduce duplicate rows.
         """
         groups = self._groups.get(predicate)
-        if groups is None:
-            return
-        intern = self.table.intern
-        for values in fresh:
-            group = groups.get(len(values))
-            if group is None:
-                group = groups[len(values)] = ColumnarRelation(len(values))
-            group.append_rows(([intern(value) for value in values],))
+        if groups is not None:
+            self._append(groups, fresh)
 
     def invalidate(self, predicate: str) -> None:
         """Drop a predicate's encoding (re-encoded lazily on next use)."""

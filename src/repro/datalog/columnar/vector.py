@@ -623,11 +623,17 @@ def _run_emit_leaf(leaf, cols, n: int, head_arity: int):
     return keys, n
 
 
+#: Batch rows per fused-leaf morsel: bounds the join-expansion temporaries
+#: so the allocator reuses them instead of returning them to the OS.
+_MORSEL_ROWS = 2048
+
+
 def _run_sequence(sequence, working, delta, head_arity: int):
-    """Run one lowered order; returns (emitted keys ndarray | None, firings)."""
+    """Run one lowered order; yields (emitted keys ndarray, firings) per morsel."""
     if sequence.leaf is None:
         key = _unseed(sequence.ground_key, head_arity)
-        return np.array([key], dtype=np.int64), 1
+        yield np.array([key], dtype=np.int64), 1
+        return
     cols: Dict[int, object] = {}
     n = 1
     for step in sequence.steps:
@@ -636,11 +642,22 @@ def _run_sequence(sequence, working, delta, head_arity: int):
         else:
             cols, n = _run_step(step, _step_parts(step, working, delta), cols, n)
         if not n:
-            return None, 0
+            return
     leaf = sequence.leaf
     if type(leaf) is _EmitLeaf:
-        return _run_emit_leaf(leaf, cols, n, head_arity)
-    return _run_leaf(leaf, _step_parts(leaf, working, delta), cols, n, head_arity)
+        yield _run_emit_leaf(leaf, cols, n, head_arity)
+        return
+    parts = _step_parts(leaf, working, delta)
+    for start in range(0, n, _MORSEL_ROWS):
+        stop = min(start + _MORSEL_ROWS, n)
+        morsel = (
+            cols
+            if stop - start == n
+            else {slot: column[start:stop] for slot, column in cols.items()}
+        )
+        emitted, firings = _run_leaf(leaf, parts, morsel, stop - start, head_arity)
+        if emitted is not None:
+            yield emitted, firings
 
 
 #: Candidate batches at or below this size check local-group membership
@@ -649,8 +666,9 @@ def _run_sequence(sequence, working, delta, head_arity: int):
 _SET_DEDUP_MAX = 2048
 
 
-def _dedup(working, predicate: str, arity: int, emitted, bucket: List):
-    """Distinct new keys of *emitted* vs the bucket and all live parts."""
+def _dedup(working, predicate: str, arity: int, emitted, bucket: List) -> int:
+    """Append to *bucket* the distinct keys of *emitted* found neither in it
+    nor in a live part; returns how many."""
     member = working.membership(predicate, arity)
     if member is not None:
         # Dense path: one gather answers membership against everything ever
@@ -669,7 +687,8 @@ def _dedup(working, predicate: str, arity: int, emitted, bucket: List):
         fresh = emitted[mask]
         if len(fresh):
             seen[compact[mask]] = True
-        return fresh
+            bucket.append(fresh)
+        return len(fresh)
     candidates = np.unique(emitted)
     for fresh in bucket:
         if len(candidates) == 0:
@@ -686,24 +705,29 @@ def _dedup(working, predicate: str, arity: int, emitted, bucket: List):
                     candidates = np.array(kept, dtype=np.int64)
         else:
             candidates = candidates[~_in_sorted(candidates, _part_keys_sorted(part))]
-    return candidates
+    if len(candidates):
+        bucket.append(candidates)
+        # Later morsels probe every (sorted, disjoint) chunk: merge until
+        # sizes at least halve, keeping O(log) chunks rather than one per morsel.
+        while len(bucket) > 1 and len(bucket[-2]) <= 2 * len(bucket[-1]):
+            merged = np.concatenate(bucket[-2:])
+            merged.sort(kind="stable")
+            bucket[-2:] = [merged]
+    return len(candidates)
 
 
 # ----------------------------------------------------------------------
 # Rule firing
 # ----------------------------------------------------------------------
 def _fire(batch, sequence, working, delta, buckets, statistics) -> None:
+    """Run one order, deduping and counting each morsel as it is emitted."""
     predicate = batch.kernel.rule.head.predicate
     arity = batch.head_arity
-    emitted, firings = _run_sequence(sequence, working, delta, arity)
-    if emitted is None:
-        statistics.record_batch(predicate, 0, 0)
-        return
     bucket = buckets.setdefault((predicate, arity), [])
-    fresh = _dedup(working, predicate, arity, emitted, bucket)
-    new = len(fresh)
-    if new:
-        bucket.append(fresh)
+    firings = new = 0
+    for emitted, count in _run_sequence(sequence, working, delta, arity):
+        firings += count
+        new += _dedup(working, predicate, arity, emitted, bucket)
     statistics.record_batch(predicate, int(firings), int(new))
 
 

@@ -462,11 +462,15 @@ class Database:
         for predicate, tuples in grouped.items():
             if not tuples:
                 continue
-            relation = self._relations.setdefault(predicate, set())
-            fresh = tuples - relation
-            if not fresh:
-                continue
-            relation.update(fresh)
+            relation = self._relations.get(predicate)
+            if relation is None:
+                # A new relation copies the input once, not diff-then-merge.
+                fresh = self._relations[predicate] = set(tuples)
+            else:
+                fresh = tuples - relation
+                if not fresh:
+                    continue
+                relation.update(fresh)
             added += len(fresh)
             self._note_added_bulk(predicate, fresh)
         if added:

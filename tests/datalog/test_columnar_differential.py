@@ -19,12 +19,15 @@ a tuple-layout one and as from-scratch evaluation after any interleaving
 of insertion and deletion batches.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog import MaterializedView, available_engines, get_engine
 from repro.datalog.atoms import Atom
 from repro.datalog.columnar import vector
+from repro.datalog.database import Database
 from repro.datalog.engine.registry import EngineNotApplicableError
+from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant, Variable
 
 from tests.datalog.strategies import (
@@ -239,3 +242,57 @@ def test_incremental_columnar_matches_tuple_wide(program, database, data):
         columnar_view.apply(insertions=insertions, deletions=deletions)
         tuple_view.apply(insertions=insertions, deletions=deletions)
         assert_views_agree(columnar_view, tuple_view)
+
+
+# ----------------------------------------------------------------------
+# Morsel boundaries: one round's leaf input split across several morsels
+# ----------------------------------------------------------------------
+MORSEL_PROGRAM = parse_program(
+    """
+    ?out(X, Z)
+    out(X, Z) :- b(Y), not blocked(Y), e(Y, X), f(X, Z).
+    out(X, Z) :- g(X, Z).
+    """
+)
+
+
+def morsel_database():
+    """5.1k leaf-input rows in one round, each head row emitted 51 times.
+
+    The planner scans ``b`` (smallest), filters it by ``not blocked``, fans
+    out through ``e`` and probes ``f`` as the leaf.  Every out(X, Z) comes
+    from each surviving Y, one Y block per 100 batch rows, so the same key
+    is emitted in every morsel; ``g`` re-derives a third of them through a
+    second rule and adds a few of its own.
+    """
+    return Database(
+        {
+            "b": [(y,) for y in range(60)],
+            "blocked": [(y,) for y in range(0, 60, 7)],
+            "e": [(y, 100 + x) for y in range(60) for x in range(100)],
+            "f": [(100 + x, 300 + x % 7) for x in range(100)],
+            "g": [(100 + x, 300 + x % 9) for x in range(0, 100, 3)],
+        }
+    )
+
+
+@pytest.mark.parametrize("bitmap_max", [vector._BITMAP_DOMAIN_MAX, 0])
+def test_morsel_boundaries_match_tuple(monkeypatch, bitmap_max):
+    """Dedup and counting across morsels and rules equal the tuple layout's
+    (dense-bitmap dedup, and the sorted/key-set fallback at zero budget)."""
+    monkeypatch.setattr(vector, "_BITMAP_DOMAIN_MAX", bitmap_max)
+    leaf_batches = []
+    run_leaf = vector._run_leaf
+
+    def counting_leaf(leaf, parts, cols, n, head_arity):
+        leaf_batches.append(n)
+        return run_leaf(leaf, parts, cols, n, head_arity)
+
+    monkeypatch.setattr(vector, "_run_leaf", counting_leaf)
+    database = morsel_database()
+    assert_same_observables(MORSEL_PROGRAM, database)
+    # The vector lane ran, its leaf input was split, and the anti step
+    # trimmed it first (e minus blocked rows is not a morsel multiple).
+    assert len(leaf_batches) >= 3
+    assert max(leaf_batches) == vector._MORSEL_ROWS
+    assert sum(leaf_batches) % vector._MORSEL_ROWS
