@@ -94,10 +94,10 @@ for label, (name, database) in GATE_WORKLOADS.items():
     GATE_PLANNERS[label] = Planner()
     GATE_PLANNERS[label].plan(PROGRAMS[name], database)
 
-# The columnar axis for the relational-algebra-friendly workloads: the
-# negation pair exercises the batch/vector anti-join lanes.  Aggregate
-# programs fall back to the tuple path by design, so they are not mirrored.
-COLUMNAR_LABELS = ("reach_pa", "unreach_pa", "sg_grid")
+# The columnar axis: the negation pair exercises the batch/vector anti-join
+# lanes; the aggregate programs fold at stratum close on the vector lane
+# (degree_pa, sp_grid) and on the packed lane (triangle_rand's arity-3 head).
+COLUMNAR_LABELS = ("reach_pa", "unreach_pa", "degree_pa", "sp_grid", "sg_grid", "triangle_rand")
 COLUMNAR_WORKLOADS = {
     label: (WORKLOADS[label][0], WORKLOADS[label][1].with_layout("columnar"))
     for label in COLUMNAR_LABELS

@@ -22,9 +22,9 @@ Statistics parity with the tuple path is structural, not accidental: a
 rule's firing count is the number of complete body matches — a
 join-order- and batch-order-invariant multiset — and the per-round
 "new" count is the bucket's growth, which only depends on the round's
-start state.  The fixpoint drivers below mirror the tuple engines' loops
-(`seminaive`/`naive`) line for line, so ``EvaluationStatistics`` come
-out identical and the differential harness can assert full equality.
+start state.  The fixpoint driver below mirrors the semi-naive engine's
+loop line for line, so ``EvaluationStatistics`` come out identical and
+the differential harness can assert full equality.
 """
 
 from __future__ import annotations
@@ -33,7 +33,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.datalog.columnar.relation import KEY_BITS, ColumnarRelation, pack_codes
 from repro.datalog.database import Database
-from repro.datalog.engine.base import EvaluationResult, split_rules
+from repro.datalog.engine.base import (
+    EvaluationResult,
+    fold_aggregate,
+    is_aggregate_rule,
+    split_rules,
+)
 from repro.datalog.engine.executor import PROBE_CONST, PROBE_SCAN, PROBE_SLOT
 from repro.errors import EvaluationError
 
@@ -43,8 +48,10 @@ _KEY_MASK = (1 << KEY_BITS) - 1
 def plan_supported(plan) -> bool:
     """Whether every stratum rule has a compiled kernel to lower.
 
-    Rules the tuple path itself cannot compile (un-internable terms such
-    as raw :class:`~repro.datalog.terms.Parameter` atoms) keep the whole
+    Aggregate rules have one too: it emits pre-aggregate rows, which the
+    lanes fold at stratum close.  Rules the tuple path itself cannot
+    compile (un-internable terms such as raw
+    :class:`~repro.datalog.terms.Parameter` atoms) keep the whole
     evaluation on the tuple fallback — mixing batch and interpreted rules
     in one fixpoint would mean maintaining two working sets in lockstep.
     """
@@ -677,6 +684,11 @@ def _run_leaf(leaf: _BatchLeaf, parts, cols, n: int, bucket: set, existing_sets)
                     out_keys.extend([carry + key for key in leaf_keys])
         fresh = set(out_keys)
 
+    return total, _absorb(fresh, bucket, existing_sets)
+
+
+def _absorb(fresh: set, bucket: set, existing_sets) -> int:
+    """Add to *bucket* the keys of *fresh* in neither it nor a live part; how many."""
     # `difference` (unlike `-=`, which always walks its argument) picks the
     # cheaper side to iterate — on deep recursions the fresh set is tiny and
     # the accumulated key sets are the whole model, so this is the difference
@@ -686,10 +698,9 @@ def _run_leaf(leaf: _BatchLeaf, parts, cols, n: int, bucket: set, existing_sets)
     for keys in existing_sets:
         if keys and fresh:
             fresh = fresh.difference(keys)
-    new = len(fresh)
-    if new:
+    if fresh:
         bucket |= fresh
-    return total, new
+    return len(fresh)
 
 
 def _run_anti_step(step: _BatchAntiStep, working, cols, n: int):
@@ -747,15 +758,7 @@ def _run_emit_leaf(leaf: _EmitLeaf, cols, n: int, bucket: set, existing_sets):
             source = cols[slot]
             keys = [key + value * weight for key, value in zip(keys, source)]
         fresh = set(keys)
-    if bucket:
-        fresh = fresh.difference(bucket)
-    for keys in existing_sets:
-        if keys and fresh:
-            fresh = fresh.difference(keys)
-    new = len(fresh)
-    if new:
-        bucket |= fresh
-    return n, new
+    return n, _absorb(fresh, bucket, existing_sets)
 
 
 def _run_sequence(sequence: _BatchSequence, working, delta, bucket, existing_sets):
@@ -808,12 +811,49 @@ def _fire_delta(
         statistics.record_batch(predicate, firings, new)
 
 
-def _commit(working: _BatchWorking, buckets, head_arities, build_delta: bool):
+def fold_codes(rule, columns, table) -> Tuple[List[Tuple[int, ...]], int]:
+    """Fold distinct pre-aggregate code rows (given as *columns*) into head codes.
+
+    Decodes through the intern table, folds with the one shared
+    :func:`~repro.datalog.engine.base.fold_aggregate`, and interns the
+    results (fresh constants, e.g. a ``sum``); returns the head rows' code
+    columns and how many heads were produced.
+    """
+    values = table.values()
+    heads = fold_aggregate(rule, zip(*[map(values.__getitem__, column) for column in columns]))
+    codes = table.intern_many([value for head in heads for value in head])
+    arity = len(columns)
+    return [tuple(codes[j::arity]) for j in range(arity)], len(heads)
+
+
+def _fire_aggregate(batch: BatchKernel, working, bucket, statistics) -> None:
+    """Fire an aggregate rule's kernel into a scratch set, fold, add the heads."""
+    rule = batch.kernel.rule
+    static, _ = batch.sequences(working.table)
+    rows: set = set()
+    firings, _ = _run_sequence(static, working, None, rows, ())
+    columns, produced = fold_codes(rule, _unpack(rows, batch.head_arity), working.table)
+    new = _absorb(
+        set(map(pack_codes, zip(*columns))),
+        bucket,
+        working.key_sets(rule.head.predicate, batch.head_arity),
+    )
+    statistics.record_batch(rule.head.predicate, firings, new, produced=produced)
+
+
+def _unpack(keys, arity: int) -> List[List[int]]:
+    """Packed keys of one arity back to per-position code columns."""
+    return [
+        [(key >> shift) & _KEY_MASK for key in keys]
+        for shift in (KEY_BITS * (arity - 1 - j) for j in range(arity))
+    ]
+
+
+def _commit(working: _BatchWorking, buckets, head_arities):
     """Unpack each bucket's fresh keys into columns and append them.
 
     Returns ``(delta groups, total added)``; the delta groups feed the
-    next semi-naive round (``build_delta=False`` for the naive engine,
-    which re-scans the full model instead).
+    next semi-naive round.
     """
     delta: Dict[str, Dict[int, ColumnarRelation]] = {}
     added = 0
@@ -832,16 +872,12 @@ def _commit(working: _BatchWorking, buckets, head_arities, build_delta: bool):
                 per_arity.setdefault(arity, []).append(key)
         groups: Dict[int, ColumnarRelation] = {}
         for arity, keys in per_arity.items():
-            columns = [
-                [(key >> shift) & _KEY_MASK for key in keys]
-                for shift in (KEY_BITS * (arity - 1 - j) for j in range(arity))
-            ]
+            columns = _unpack(keys, arity)
             working.local_group(predicate, arity).extend_columns(columns, keys)
-            if build_delta:
-                group = ColumnarRelation(arity)
-                group.extend_columns(columns, keys)
-                groups[arity] = group
-        if build_delta and groups:
+            group = ColumnarRelation(arity)
+            group.extend_columns(columns, keys)
+            groups[arity] = group
+        if groups:
             delta[predicate] = groups
         added += len(keys_list)
     return delta, added
@@ -874,7 +910,7 @@ def _decode_idb(working: _BatchWorking, database, idb_predicates) -> Database:
 
 
 # ----------------------------------------------------------------------
-# Fixpoint drivers (mirror engine/seminaive.py and engine/naive.py)
+# Fixpoint driver (mirrors engine/seminaive.py)
 # ----------------------------------------------------------------------
 def _load_facts_seminaive(program, working, statistics):
     fact_rules, _ = split_rules(program)
@@ -905,11 +941,13 @@ def evaluate_seminaive(
     Dispatches to the NumPy vector lane when the program's head relations
     fit 64-bit packed keys (see :mod:`repro.datalog.columnar.vector`);
     otherwise runs the packed-bigint lane below, which handles any arity.
-    With ``workers > 1``, programs off the vector lane route through the
-    process-sharded driver (:mod:`repro.datalog.columnar.shard`), which
-    partitions each recursive round's delta across forked workers —
+    With ``workers > 1``, aggregate-free programs off the vector lane route
+    through the process-sharded driver (:mod:`repro.datalog.columnar.shard`),
+    which partitions each recursive round's delta across forked workers —
     vector-eligible programs stay on the (already C-speed) vector lane,
     serial, where cross-process sharding cannot pay for itself.
+    Aggregate rules fire once, in their stratum's first round,
+    and fold through :func:`fold_codes`.
     An armed *guard* is checkpointed at every round boundary and between
     kernel batches, so even a single enormous round stays cancellable; the
     working state is lane-private, so aborts leave *database* untouched.
@@ -950,8 +988,11 @@ def evaluate_seminaive(
             if guard is not None:
                 guard.checkpoint(statistics)
             bucket = buckets.setdefault(rule.head.predicate, set())
-            _fire_static(batch, working, bucket, statistics)
-        delta, added = _commit(working, buckets, head_arities, build_delta=True)
+            if is_aggregate_rule(rule):
+                _fire_aggregate(batch, working, bucket, statistics)
+            else:
+                _fire_static(batch, working, bucket, statistics)
+        delta, added = _commit(working, buckets, head_arities)
 
         if not stratum.recursive:
             continue
@@ -968,59 +1009,7 @@ def evaluate_seminaive(
                 _fire_delta(
                     batch, rule, working, delta, delta_predicates, bucket, statistics
                 )
-            delta, added = _commit(working, buckets, head_arities, build_delta=True)
+            delta, added = _commit(working, buckets, head_arities)
 
     idb_facts = _decode_idb(working, database, idb_predicates)
-    return EvaluationResult(program, database, idb_facts, statistics)
-
-
-def evaluate_naive(
-    program, database, plan, statistics, max_iterations: Optional[int], guard=None,
-    workers: int = 1,
-) -> EvaluationResult:
-    """The naive fixpoint over columnar state (statistics-identical).
-
-    Same lane dispatch — and same guard checkpoints — as
-    :func:`evaluate_seminaive`.  ``workers`` is accepted for interface
-    symmetry but the naive lane always runs serial: without deltas there
-    is no small per-round unit of work to shard.
-    """
-    from repro.datalog.columnar import vector
-
-    if vector.supported(plan, database.columnar_store().table, program):
-        return vector.evaluate_naive(
-            program, database, plan, statistics, max_iterations, guard=guard
-        )
-    working = _BatchWorking(database)
-    fact_rules, _ = split_rules(program)
-    for rule in fact_rules:
-        is_new = working.add_fact_row(rule.head.predicate, rule.head.as_fact_tuple())
-        statistics.record_firing()
-        statistics.record_fact(rule.head.predicate, is_new)
-
-    head_arities = _head_arities(plan)
-    for stratum in plan.strata:
-        statistics.record_stratum()
-        kernels = _stratum_kernels(plan, stratum)
-        changed = True
-        while changed:
-            statistics.record_iteration(stratum.label)
-            if guard is not None:
-                guard.checkpoint(statistics)
-            if max_iterations is not None and statistics.iterations > max_iterations:
-                raise EvaluationError(
-                    f"naive evaluation exceeded {max_iterations} iterations"
-                )
-            buckets: Dict[str, set] = {}
-            for rule, batch in kernels:
-                if guard is not None:
-                    guard.checkpoint(statistics)
-                bucket = buckets.setdefault(rule.head.predicate, set())
-                _fire_static(batch, working, bucket, statistics)
-            _, added = _commit(working, buckets, head_arities, build_delta=False)
-            changed = added > 0
-            if not stratum.recursive:
-                break
-
-    idb_facts = _decode_idb(working, database, program.idb_predicates())
     return EvaluationResult(program, database, idb_facts, statistics)

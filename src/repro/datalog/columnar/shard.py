@@ -84,7 +84,7 @@ from repro.datalog.columnar.batch import (
     plan_supported,
 )
 from repro.datalog.columnar.relation import KEY_BITS, ColumnarRelation
-from repro.datalog.engine.base import EvaluationResult
+from repro.datalog.engine.base import EvaluationResult, is_aggregate_rule
 from repro.errors import EvaluationError
 
 _KEY_MASK = (1 << KEY_BITS) - 1
@@ -166,7 +166,8 @@ def applicable(plan, database, program, workers: int) -> bool:
     """Whether the sharded driver should take this evaluation.
 
     Requires ``workers > 1``, fork support, a fully-compiled plan with at
-    least one recursive stratum — and a program *off* the NumPy vector
+    least one recursive stratum and no aggregate rule (this driver has no
+    stratum-close fold) — and a program *off* the NumPy vector
     lane: vector rounds are already C-speed, too cheap for cross-process
     sharding to amortize, so vector-eligible programs stay on it, serial.
     """
@@ -174,7 +175,9 @@ def applicable(plan, database, program, workers: int) -> bool:
 
     if workers <= 1 or not available():
         return False
-    if not plan_supported(plan):
+    if not plan_supported(plan) or any(
+        is_aggregate_rule(rule) for stratum in plan.strata for rule in stratum.rules
+    ):
         return False
     if not any(stratum.recursive for stratum in plan.strata):
         return False

@@ -26,6 +26,14 @@ which is observationally identical.  Statistics parity follows the same
 discipline as the other lanes: firings are counted after all checks, and
 "new" counts are bucket growth against the round-start state.
 
+Aggregate rules run here too.  Each stratum first fires its aggregate
+rules' kernels into scratch arrays, decodes the distinct pre-aggregate
+rows, folds them with the shared
+:func:`~repro.datalog.engine.base.fold_aggregate` and interns the results
+(new constants, such as a ``sum``) — all before any head of the stratum
+is deduped, because the dense dedup bitmaps are sized from the intern
+table on first use.
+
 This lane always runs serial, even under ``workers > 1``: its rounds are
 already C-speed array sweeps, so the per-round pickling and queue latency
 of the process-sharded driver (:mod:`repro.datalog.columnar.shard`) would
@@ -43,11 +51,11 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
     np = None
 
 from repro.datalog.atoms import NegatedAtom
-from repro.datalog.columnar.batch import _BatchAntiStep, _EmitLeaf
+from repro.datalog.columnar.batch import _BatchAntiStep, _EmitLeaf, fold_codes
 from repro.datalog.columnar.decode import LazyDecodedDatabase
 from repro.datalog.columnar.relation import KEY_BITS, ColumnarRelation, pack_codes
 from repro.datalog.database import Database
-from repro.datalog.engine.base import EvaluationResult, split_rules
+from repro.datalog.engine.base import EvaluationResult, is_aggregate_rule, split_rules
 from repro.datalog.engine.executor import PROBE_CONST, PROBE_SCAN, PROBE_SLOT
 from repro.errors import EvaluationError
 
@@ -340,7 +348,8 @@ class _VectorWorking:
 
         Built on first dedup of the relation, seeded with every row already
         live in its parts.  Codes are stable by then — a stratum's kernels
-        intern their constants before any rule fires — so the domain
+        intern their constants, and its aggregate folds their results,
+        before any rule's rows are deduped — so the domain
         ``(len(table) + 1) ** arity`` can never be outgrown.  All rows that
         appear later are marked by :func:`_dedup` itself as they are found
         fresh, which also gives cross-rule bucket dedup for free.
@@ -744,7 +753,7 @@ def _fire_delta(batch, rule, working, delta, delta_predicates, buckets, statisti
         _fire(batch, variants[position], working, delta, buckets, statistics)
 
 
-def _commit(working: _VectorWorking, buckets, build_delta: bool):
+def _commit(working: _VectorWorking, buckets):
     """Append each bucket's fresh keys as columns; returns (delta, added)."""
     delta: Dict[str, Dict[int, _DeltaPart]] = {}
     added = 0
@@ -756,8 +765,7 @@ def _commit(working: _VectorWorking, buckets, build_delta: bool):
             (keys >> (KEY_BITS * (arity - 1 - j))) & _KEY_MASK for j in range(arity)
         )
         working.group(predicate, arity).append(cols, keys)
-        if build_delta:
-            delta.setdefault(predicate, {})[arity] = _DeltaPart(arity, cols, keys)
+        delta.setdefault(predicate, {})[arity] = _DeltaPart(arity, cols, keys)
         added += len(keys)
     return delta, added
 
@@ -794,7 +802,7 @@ def _decode_idb(working: _VectorWorking, database, idb_predicates) -> Database:
 
 
 # ----------------------------------------------------------------------
-# Fixpoint drivers (mirror engine/seminaive.py and engine/naive.py)
+# Fixpoint driver (mirrors engine/seminaive.py)
 # ----------------------------------------------------------------------
 def _stratum_kernels(plan, stratum, table):
     kernels = [(rule, plan.kernel(rule).batch_kernel()) for rule in stratum.rules]
@@ -804,6 +812,33 @@ def _stratum_kernels(plan, stratum, table):
     for _, batch in kernels:
         batch.sequences(table)
     return kernels
+
+
+def _fold_aggregate(batch, working):
+    """Fire an aggregate rule into a scratch array and fold its distinct rows.
+
+    Returns ``(head keys, firings, produced)``.  The results are interned
+    here, so callers fold every aggregate of a stratum before any head is
+    deduped (that is what sizes the dense bitmaps).
+    """
+    arity = batch.head_arity
+    static, _ = batch.sequences(working.table)
+    chunks: List = []
+    firings = 0
+    for emitted, count in _run_sequence(static, working, None, arity):
+        chunks.append(emitted)
+        firings += count
+    rows = np.unique(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)
+    columns, produced = fold_codes(
+        batch.kernel.rule,
+        [((rows >> (KEY_BITS * (arity - 1 - j))) & _KEY_MASK).tolist() for j in range(arity)],
+        working.table,
+    )
+    keys = np.zeros(produced, dtype=np.int64)
+    for column in columns:
+        keys <<= KEY_BITS
+        keys |= np.array(column, dtype=np.int64)
+    return keys, int(firings), produced
 
 
 def evaluate_seminaive(
@@ -831,15 +866,27 @@ def evaluate_seminaive(
         statistics.record_stratum()
         label = stratum.label
         kernels = _stratum_kernels(plan, stratum, working.table)
+        aggregates = [batch for rule, batch in kernels if is_aggregate_rule(rule)]
+        kernels = [(rule, batch) for rule, batch in kernels if not is_aggregate_rule(rule)]
 
         statistics.record_iteration(label)
         check_budget()
         buckets: Dict[Tuple[str, int], List] = {}
+        folds = []
+        for batch in aggregates:
+            if guard is not None:
+                guard.checkpoint(statistics)
+            folds.append((batch, *_fold_aggregate(batch, working)))
+        for batch, keys, firings, produced in folds:
+            predicate, arity = batch.kernel.rule.head.predicate, batch.head_arity
+            bucket = buckets.setdefault((predicate, arity), [])
+            new = _dedup(working, predicate, arity, keys, bucket)
+            statistics.record_batch(predicate, firings, int(new), produced=produced)
         for rule, batch in kernels:
             if guard is not None:
                 guard.checkpoint(statistics)
             _fire_static(batch, working, buckets, statistics)
-        delta, added = _commit(working, buckets, build_delta=True)
+        delta, added = _commit(working, buckets)
 
         if not stratum.recursive:
             continue
@@ -855,45 +902,7 @@ def evaluate_seminaive(
                 _fire_delta(
                     batch, rule, working, delta, delta_predicates, buckets, statistics
                 )
-            delta, added = _commit(working, buckets, build_delta=True)
+            delta, added = _commit(working, buckets)
 
     idb_facts = _decode_idb(working, database, idb_predicates)
-    return EvaluationResult(program, database, idb_facts, statistics)
-
-
-def evaluate_naive(
-    program, database, plan, statistics, max_iterations: Optional[int], guard=None
-) -> EvaluationResult:
-    working = _VectorWorking(database)
-
-    fact_rules, _ = split_rules(program)
-    for rule in fact_rules:
-        is_new = working.add_fact(rule.head.predicate, rule.head.as_fact_tuple())
-        statistics.record_firing()
-        statistics.record_fact(rule.head.predicate, is_new)
-    working.seal_facts()
-
-    for stratum in plan.strata:
-        statistics.record_stratum()
-        kernels = _stratum_kernels(plan, stratum, working.table)
-        changed = True
-        while changed:
-            statistics.record_iteration(stratum.label)
-            if guard is not None:
-                guard.checkpoint(statistics)
-            if max_iterations is not None and statistics.iterations > max_iterations:
-                raise EvaluationError(
-                    f"naive evaluation exceeded {max_iterations} iterations"
-                )
-            buckets: Dict[Tuple[str, int], List] = {}
-            for rule, batch in kernels:
-                if guard is not None:
-                    guard.checkpoint(statistics)
-                _fire_static(batch, working, buckets, statistics)
-            _, added = _commit(working, buckets, build_delta=False)
-            changed = added > 0
-            if not stratum.recursive:
-                break
-
-    idb_facts = _decode_idb(working, database, program.idb_predicates())
     return EvaluationResult(program, database, idb_facts, statistics)

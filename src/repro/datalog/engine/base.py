@@ -8,11 +8,12 @@ This module provides:
   indexes (:meth:`repro.datalog.database.Database.probe`), so the engines stay
   far from quadratic behaviour on the benchmark workloads without rebuilding
   indexes at every fixpoint iteration;
-* the shared per-rule evaluators :func:`fire_rule` / :func:`fire_rule_delta`,
-  which dispatch each rule to its compiled slot kernel
-  (:mod:`repro.datalog.engine.executor`) or to the interpreted
+* the shared per-rule evaluators :func:`fire_rule` / :func:`fire_rule_delta`
+  / :func:`fire_aggregate_rule`, which dispatch each rule to its compiled
+  slot kernel (:mod:`repro.datalog.engine.executor`) or to the interpreted
   :func:`match_body` fallback, with identical duplicate accounting on both
-  paths;
+  paths, and :func:`fold_aggregate`, the one stratum-close aggregate fold
+  every path and layout shares;
 * :func:`select_answers` — the selection described by the goal atom
   (Section 2.1: the output is obtained by performing the selections described
   by the goal on the interpretation of its predicate).
@@ -20,6 +21,7 @@ This module provides:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -274,49 +276,64 @@ def _apply_aggregate(op: str, values: FrozenSet) -> object:
         ) from exc
 
 
-def fire_aggregate_rule(plan, rule: Rule, working, bucket, statistics) -> None:
+def fold_aggregate(rule: Rule, rows: Iterable[Tuple]) -> List[Tuple]:
+    """Fold distinct pre-aggregate *rows* into the aggregate rule's head facts.
+
+    A pre-aggregate row is what the rule's kernel emits per body match: the
+    head with the aggregated variable's binding at the aggregate position.
+    Rows group by the remaining positions, and each group's distinct values
+    go through :func:`_apply_aggregate`, so the result depends only on the
+    minimum model — not on join order, duplicates, engine or layout.  Every
+    engine and columnar lane folds here.
+    """
+    position, op = next(
+        (position, term.op)
+        for position, term in enumerate(rule.head.terms)
+        if isinstance(term, Aggregate)
+    )
+    groups: Dict[Tuple, set] = defaultdict(set)
+    for row in rows:
+        groups[row[:position] + row[position + 1 :]].add(row[position])
+    try:
+        return [
+            key[:position] + (_apply_aggregate(op, values),) + key[position:]
+            for key, values in groups.items()
+        ]
+    except EvaluationError:
+        # Report the first bad group in an order no layout or join affects.
+        for key in sorted(groups, key=repr):
+            _apply_aggregate(op, groups[key])
+        raise
+
+
+def fire_aggregate_rule(plan, rule: Rule, working, bucket, statistics, compiled=True) -> None:
     """Run one aggregate rule against its fully-closed body relations.
 
     Stratification guarantees every body predicate is closed when this
     runs (aggregate-rule body edges are negative dependency edges), so the
-    rule fires exactly once per stratum — on the stratum's first pass, in
-    both bottom-up engines, via this one routine, which is what keeps the
-    statistics identical across engines and kernel paths (aggregate rules
-    never compile to kernels; the whole columnar plan falls back too).
-
-    Grouping is by the non-aggregate head positions; the aggregate is
-    computed over the *distinct* bindings of the aggregated variable per
-    group, so the result depends only on the minimum model — not on join
-    order, duplicates, or engine choice.
+    rule fires exactly once per stratum, on the stratum's first pass.  The
+    body runs through the rule's compiled kernel (the interpreted
+    :func:`match_body` path when there is none, or with ``compiled=False``)
+    into a set of distinct pre-aggregate rows, which
+    :func:`fold_aggregate` turns into head facts: one firing per body
+    match, one produced fact per group — the counts every columnar lane
+    records as well.
     """
     predicate = rule.head.predicate
-    join_plan = plan.join_plan(rule)
-    agg_position = next(
-        position
-        for position, term in enumerate(rule.head.terms)
-        if isinstance(term, Aggregate)
-    )
-    aggregate: Aggregate = rule.head.terms[agg_position]
-    key_spec = tuple(
-        (term, None) if isinstance(term, Variable) else (None, getattr(term, "value", None))
-        for position, term in enumerate(rule.head.terms)
-        if position != agg_position
-    )
-    groups: Dict[Tuple, set] = {}
-    for substitution in match_body(rule.body, working, order=join_plan.order):
-        statistics.record_firing()
-        key = tuple(
-            substitution[variable].value if variable is not None else constant
-            for variable, constant in key_spec
-        )
-        groups.setdefault(key, set()).add(substitution[aggregate.variable].value)
-    for key, group_values in groups.items():
-        result = _apply_aggregate(aggregate.op, group_values)
-        values = key[:agg_position] + (result,) + key[agg_position:]
-        is_new = not working.contains(predicate, values) and values not in bucket
-        statistics.record_fact(predicate, is_new)
-        if is_new:
-            bucket.add(values)
+    kernel = plan.kernel(rule) if compiled else None
+    rows: set = set()
+    sink, firings = _dedup_sink((), rows)
+    if kernel is not None:
+        kernel.execute_static(working, sink)
+    else:
+        join_plan = plan.join_plan(rule)
+        for substitution in match_body(rule.body, working, order=join_plan.order):
+            sink(join_plan.head_values(substitution))
+    heads = fold_aggregate(rule, rows)
+    existing = working.relation_view(predicate)
+    before = len(bucket)
+    bucket.update(values for values in heads if values not in existing)
+    statistics.record_batch(predicate, firings(), len(bucket) - before, produced=len(heads))
 
 
 def select_answers(goal: Atom, tuples: Iterable[Tuple]) -> FrozenSet[Tuple]:

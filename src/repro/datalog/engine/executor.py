@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.datalog.atoms import NegatedAtom
 from repro.datalog.rules import Rule
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.terms import Aggregate, Constant, Variable
 
 # Probe kinds a compiled step can use to fetch its candidate tuples.
 PROBE_CONST = 0  # index probe with a constant baked in at compile time
@@ -481,8 +481,13 @@ def compile_rule_kernel(plan) -> Optional[RuleKernel]:
     ``match_body`` path instead of miscompiling it.
     """
     rule: Rule = plan.rule
-    for atom in (rule.head, *rule.body):
-        for term in atom.terms:
+    # An aggregate head term compiles to its variable: the kernel emits
+    # pre-aggregate rows, which the engines fold at stratum close.
+    head_terms = tuple(
+        term.variable if isinstance(term, Aggregate) else term for term in rule.head.terms
+    )
+    for terms in (head_terms, *(atom.terms for atom in rule.body)):
+        for term in terms:
             if not isinstance(term, (Variable, Constant)):
                 return None
     registers: Dict[Variable, int] = {}
@@ -491,7 +496,7 @@ def compile_rule_kernel(plan) -> Optional[RuleKernel]:
             if isinstance(term, Variable) and term not in registers:
                 registers[term] = len(registers)
     head_ops: List[Tuple[bool, object]] = []
-    for term in rule.head.terms:
+    for term in head_terms:
         if isinstance(term, Variable):
             if term not in registers:
                 return None  # unsafe head variable; leave it to validation

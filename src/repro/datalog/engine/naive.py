@@ -64,7 +64,7 @@ def _run_stratum(plan, stratum, working, statistics, check_budget, compiled, col
             # engine does it (shared routine, identical statistics).
             for rule in aggregate_rules:
                 bucket = pending.setdefault(rule.head.predicate, set())
-                fire_aggregate_rule(plan, rule, working, bucket, statistics)
+                fire_aggregate_rule(plan, rule, working, bucket, statistics, compiled)
             first_round = False
         changed = working.add_relations(pending) > 0
         if collect is not None:
@@ -114,17 +114,16 @@ def _evaluate(
         untouched (evaluation runs over a working copy).
     workers:
         Optional parallelism degree (> 1 runs same-depth strata on
-        concurrent threads; see :mod:`repro.datalog.engine.parallel`).
-        The naive engine has no deltas to shard, so the columnar lane
-        stays serial at any worker count; results and statistics are
-        identical to the serial run regardless.
+        concurrent threads; see :mod:`repro.datalog.engine.parallel`);
+        results and statistics are identical to the serial run.
+
+    The naive engine is the cost baseline, so it runs on the tuple path for
+    every database layout: the columnar lanes serve the semi-naive engine.
     """
     program.validate()
     workers_n = resolve_workers(workers)
     statistics = EvaluationStatistics()
 
-    # Plan first (it reads the *input* database, not the working copy) so a
-    # columnar-layout database can take the batch path before any tuple work.
     if plan is not None:
         statistics.record_plan(cache_hit=True)
     elif planner is not None:
@@ -132,15 +131,6 @@ def _evaluate(
     else:
         plan = compile_program_plan(program, database)
         statistics.record_plan(cache_hit=False)
-
-    if compiled and getattr(database, "layout", "tuple") == "columnar":
-        from repro.datalog.columnar.batch import evaluate_naive, plan_supported
-
-        if plan_supported(plan):
-            return evaluate_naive(
-                program, database, plan, statistics, max_iterations,
-                guard=guard, workers=workers_n,
-            )
 
     working = database.copy()
 

@@ -375,10 +375,9 @@ def plan_rule(
     head_spec = tuple(
         (term, None)
         if isinstance(term, Variable)
-        # Aggregate head slots are filled by the stratum-close aggregate
-        # routine, never by head_values — a placeholder keeps plan
-        # compilation total.
-        else (None, None)
+        # An aggregate head yields its variable's binding: head_values then
+        # builds the pre-aggregate row the stratum-close fold groups.
+        else (term.variable, None)
         if isinstance(term, Aggregate)
         else (None, term.value)
         for term in rule.head.terms

@@ -69,7 +69,7 @@ def _run_stratum(plan, stratum, working, statistics, check_budget, compiled, col
     # stratum's own fixpoint cannot change what they derive.
     for rule in aggregate_rules:
         bucket = delta_sets.setdefault(rule.head.predicate, set())
-        fire_aggregate_rule(plan, rule, working, bucket, statistics)
+        fire_aggregate_rule(plan, rule, working, bucket, statistics, compiled)
     delta = Database.adopt({name: bucket for name, bucket in delta_sets.items() if bucket})
     working.update(delta)
     if collect is not None:

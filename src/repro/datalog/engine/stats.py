@@ -11,7 +11,7 @@ the counts (shape) in addition to timing the runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 
 @dataclass
@@ -51,15 +51,19 @@ class EvaluationStatistics:
         else:
             self.plans_compiled += 1
 
-    def record_batch(self, predicate: str, firings: int, new: int) -> None:
-        """Count a whole kernel run at once: *firings* head productions, *new* fresh.
+    def record_batch(
+        self, predicate: str, firings: int, new: int, produced: Optional[int] = None
+    ) -> None:
+        """Count a whole kernel run at once: *firings* body matches, *new* fresh.
 
-        Equivalent to ``record_firing()`` + ``record_fact(predicate, ...)``
-        per production — the compiled engines accumulate plain integers in
-        their inner loop and settle the counters here, once per rule run.
+        Equivalent to ``record_firing()`` per match + ``record_fact(predicate,
+        ...)`` per produced head fact — one per firing, or *produced* of them
+        for an aggregate rule (one per group).  The compiled engines
+        accumulate plain integers in their inner loop and settle the
+        counters here, once per rule run.
         """
         self.rule_firings += firings
-        self.duplicate_derivations += firings - new
+        self.duplicate_derivations += (firings if produced is None else produced) - new
         if new:
             self.facts_derived += new
             self.facts_per_predicate[predicate] = (

@@ -24,8 +24,8 @@ from repro.datalog.atoms import Atom, NegatedAtom
 from repro.datalog.database import Database
 from repro.datalog.engine.base import (
     EvaluationResult,
-    _apply_aggregate,
     candidate_tuples,
+    fold_aggregate,
     is_aggregate_rule,
 )
 from repro.datalog.engine.stats import EvaluationStatistics
@@ -240,31 +240,24 @@ class TopDownEvaluator:
         position filters the finished group results.
         """
         predicate = call[0]
-        agg_position = next(
-            position
-            for position, term in enumerate(rule.head.terms)
-            if isinstance(term, Aggregate)
-        )
-        aggregate: Aggregate = rule.head.terms[agg_position]
-        key_spec = tuple(
-            term
-            for position, term in enumerate(rule.head.terms)
-            if position != agg_position
+        # The pre-aggregate row: the head with the aggregated variable.
+        row_terms = tuple(
+            term.variable if isinstance(term, Aggregate) else term
+            for term in rule.head.terms
         )
         body = tuple(
             atom for atom in rule.body if not isinstance(atom, NegatedAtom)
         ) + tuple(atom for atom in rule.body if isinstance(atom, NegatedAtom))
-        groups: Dict[Tuple, Set] = {}
+        rows: Set[Tuple] = set()
         for substitution in self._solve_body(body, 0, head_binding, set(), closed=True):
             self.statistics.record_firing()
-            key = tuple(
-                substitution[term].value if isinstance(term, Variable) else term.value
-                for term in key_spec
+            rows.add(
+                tuple(
+                    substitution[term].value if isinstance(term, Variable) else term.value
+                    for term in row_terms
+                )
             )
-            groups.setdefault(key, set()).add(substitution[aggregate.variable].value)
-        for key in sorted(groups, key=repr):
-            result = _apply_aggregate(aggregate.op, groups[key])
-            values = key[:agg_position] + (result,) + key[agg_position:]
+        for values in fold_aggregate(rule, rows):
             if not _matches_call(values, call):
                 continue
             is_new = values not in table

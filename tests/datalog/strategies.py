@@ -151,7 +151,23 @@ pool_programs = st.sampled_from(PROGRAM_POOL)
 # and aggregation always read strata that close below them.  The shapes:
 # complement of a recursive closure, binary non-edge over the closure,
 # grouped count, min over a join, a global count over a negation stratum,
-# and sum guarded by negation on the second EDB relation.
+# sum guarded by negation on the second EDB relation, then the aggregate
+# shapes the columnar lanes fold (commented inline).
+
+# Plain and aggregate rules share heads in one recursive stratum, and a sum
+# result (often a value no relation holds) flows into the other aggregate's
+# head through a plain rule: both folds must intern before either head is
+# deduped.
+SHARED_HEAD_AGGREGATES = parse_program(
+    """
+    ?r(X, Y)
+    r(X, count<Y>) :- e(X, Y).
+    q(X, sum<Y>) :- f(X, Y).
+    r(X, Y) :- q(X, Y).
+    q(X, Z) :- r(X, Y), e(Y, Z).
+    """
+)
+
 STRATIFIED_PROGRAM_POOL = [
     parse_program(
         """
@@ -202,6 +218,38 @@ STRATIFIED_PROGRAM_POOL = [
         ?s(X, S)
         live(X) :- e(X, Y), not f(X, Y).
         s(X, sum<Y>) :- e(X, Y), live(X).
+        """
+    ),
+    parse_program(
+        """
+        ?mx(X, M)
+        mx(X, max<Z>) :- e(X, Y), f(Y, Z).
+        """
+    ),
+    SHARED_HEAD_AGGREGATES,
+    # An aggregate read by a higher recursive stratum.
+    parse_program(
+        """
+        ?t(X, Y)
+        d(X, count<Y>) :- e(X, Y).
+        t(X, C) :- d(X, C).
+        t(X, Z) :- t(X, Y), f(Y, Z).
+        """
+    ),
+    # Constants in aggregate heads, one with a global sum: results beyond
+    # the 0-4 edge domain are interned mid-evaluation.
+    parse_program(
+        """
+        ?k(T, S)
+        k(total, sum<Y>) :- e(X, Y).
+        k(X, min<Y>) :- f(X, Y), not e(Y, X).
+        """
+    ),
+    # Arity-3 aggregate head: the packed-bigint lane.
+    parse_program(
+        """
+        ?w(X, Y, C)
+        w(X, Y, count<Z>) :- e(X, Y), f(Y, Z).
         """
     ),
 ]

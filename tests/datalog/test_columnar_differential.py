@@ -19,19 +19,25 @@ a tuple-layout one and as from-scratch evaluation after any interleaving
 of insertion and deletion batches.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog import MaterializedView, available_engines, get_engine
 from repro.datalog.atoms import Atom
-from repro.datalog.columnar import vector
+from repro.datalog.columnar import batch, vector
 from repro.datalog.database import Database
+from repro.datalog.engine import base
 from repro.datalog.engine.registry import EngineNotApplicableError
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant, Variable
+from repro.datalog.workloads import add_ordering, add_successors, grid, parse_workload, random_graph
+from repro.errors import EvaluationError
 
 from tests.datalog.strategies import (
     PROGRAM_POOL,
+    SHARED_HEAD_AGGREGATES,
     WIDE_PROGRAM_POOL,
     edge_databases,
     edge_fact_batches,
@@ -79,11 +85,12 @@ def test_columnar_matches_tuple_wide_pool(program, database):
 @settings(max_examples=40, deadline=None)
 @given(stratified_programs, edge_databases())
 def test_columnar_matches_tuple_stratified_pool(program, database):
-    """Anti-join kernels and aggregate fallback under the columnar layout.
+    """Anti-join kernels and aggregate folds under the columnar layout.
 
     The stratified pool drives the batch/vector anti-join lanes (negated
-    literals) and the planner's tuple-path fallback (aggregate heads);
-    both must be observationally identical to the tuple baseline for every
+    literals) and the stratum-close aggregate folds on both lanes (binary
+    heads on the vector lane, the arity-3 head on the packed lane); both
+    must be observationally identical to the tuple baseline for every
     applicable engine.
     """
     assert_same_observables(program, database)
@@ -296,3 +303,98 @@ def test_morsel_boundaries_match_tuple(monkeypatch, bitmap_max):
     assert len(leaf_batches) >= 3
     assert max(leaf_batches) == vector._MORSEL_ROWS
     assert sum(leaf_batches) % vector._MORSEL_ROWS
+
+
+# ----------------------------------------------------------------------
+# Aggregate rules: compiled kernels, folded at stratum close on every lane
+# ----------------------------------------------------------------------
+def count_calls(monkeypatch, module, name, calls: Counter) -> None:
+    """Wrap ``module.name`` so every call bumps ``calls[name]``."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_aggregate_workloads_take_the_columnar_lanes(monkeypatch):
+    """shortest_path (binary heads) folds on the vector lane; triangle's
+    arity-3 ``tri`` head keeps it on the packed lane, which folds too."""
+    calls: Counter = Counter()
+    for module, name in (
+        (vector, "evaluate_seminaive"),
+        (vector, "_fold_aggregate"),
+        (batch, "_fire_aggregate"),
+    ):
+        count_calls(monkeypatch, module, name, calls)
+    shortest = add_successors(grid(6, 6, layout="columnar"), 12)
+    evaluate_seminaive(parse_workload("shortest_path"), shortest)
+    assert calls == {"evaluate_seminaive": 1, "_fold_aggregate": 1}
+    calls.clear()
+    triangles = add_ordering(random_graph(12, 60, seed=3, layout="columnar"), 12)
+    evaluate_seminaive(parse_workload("triangle"), triangles)
+    assert calls == {"_fire_aggregate": 2}
+    for name, database in (("shortest_path", shortest), ("triangle", triangles)):
+        program = parse_workload(name)
+        expected = evaluate_seminaive(program, database.with_layout("tuple"))
+        actual = evaluate_seminaive(program, database)
+        assert actual.idb_facts == expected.idb_facts, name
+        assert actual.statistics == expected.statistics, name
+
+
+@pytest.mark.parametrize("engine", ["naive", "seminaive"])
+def test_compiled_aggregate_rules_never_call_match_body(monkeypatch, engine):
+    calls: Counter = Counter()
+    count_calls(monkeypatch, base, "match_body", calls)
+    evaluate = get_engine(engine).evaluate
+    program = parse_workload("shortest_path")
+    database = add_successors(grid(5, 5), 10)
+    compiled = evaluate(program, database)
+    assert calls["match_body"] == 0
+    interpreted = evaluate(program, database, compiled=False)
+    assert calls["match_body"] > 0
+    assert compiled.idb_facts == interpreted.idb_facts
+    assert compiled.statistics == interpreted.statistics
+
+
+def test_aggregate_folds_intern_before_any_head_dedup():
+    """The sums 7, 6 and 10 lie outside the 0-4 edge domain and reach the
+    count's head ``r`` through a plain rule in the same recursive stratum:
+    both folds must intern before the first dense bitmap is sized, or the
+    vector lane drops rows whose codes fall outside it."""
+    database = Database(
+        {
+            "e": [(0, 1), (1, 2), (0, 3), (2, 0)],
+            "f": [(0, 3), (0, 4), (1, 2), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4)],
+        }
+    )
+    assert_same_observables(SHARED_HEAD_AGGREGATES, database)
+    result = evaluate_seminaive(SHARED_HEAD_AGGREGATES, database.with_layout("columnar"))
+    assert {(0, 7), (1, 6), (2, 10)} <= result.relation("r")
+
+
+@pytest.mark.parametrize("lane", ["vector", "packed"])
+def test_mixed_sum_raises_the_same_error_on_both_layouts(monkeypatch, lane):
+    if lane == "packed":
+        monkeypatch.setattr(vector, "supported", lambda *args: False)
+    program = parse_program(
+        """
+        ?s(X, S)
+        s(X, sum<Y>) :- e(X, Y).
+        """
+    )
+    # Six bad groups, which the layouts visit in different (hash-seeded)
+    # orders: the error must name the same one, the least key by repr.
+    keys = (29, 47, 48, 16, 24, 90)
+    database = Database(
+        {"e": [row for i, key in enumerate(keys) for row in ((key, i + 1), (key, f"s{i}"))]}
+    )
+    messages = []
+    for layout in ("tuple", "columnar"):
+        with pytest.raises(EvaluationError) as caught:
+            evaluate_seminaive(program, database.with_layout(layout))
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("aggregate sum over incompatible values ['s3', 4]")

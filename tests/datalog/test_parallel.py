@@ -254,6 +254,28 @@ class TestShardedDeltas:
         narrow_plan = compile_program_plan(narrow, database)
         assert not shard.applicable(narrow_plan, database, narrow, workers=2)
 
+    def test_aggregate_programs_stay_serial_with_identical_results(self):
+        # The shardable program plus an aggregate over its wide head: the
+        # sharded driver has no stratum-close fold, so workers=2 declines
+        # it and the serial packed lane must give the same model and counts.
+        program = parse_program(
+            """
+            ?s(X, C)
+            t(X, Y) :- e(X, Y).
+            t(X, Y) :- t(X, Z), e(Z, Y).
+            w(X, X, X) :- e(X, Y).
+            w(X, Y, Z) :- w(X, Y, W), e(W, Z).
+            s(X, count<Z>) :- w(X, Y, Z).
+            """
+        )
+        database = random_graph(60, 150).with_layout("columnar")
+        plan = compile_program_plan(program, database)
+        assert not shard.applicable(plan, database, program, workers=2)
+        evaluate = get_engine("seminaive").evaluate
+        serial = evaluate(program, database)
+        assert_parity(serial, evaluate(program, database, workers=2))
+        assert_parity(serial, evaluate(program, database.with_layout("tuple")))
+
     def test_forked_rounds_match_serial_exactly(self):
         # Big enough that recursive rounds clear MIN_SHARD_ROWS and the
         # pools really fork; parity must hold bit-for-bit anyway.
