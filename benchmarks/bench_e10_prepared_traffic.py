@@ -16,6 +16,11 @@ cones, large total database — the traffic regime):
 * **service**: the :class:`~repro.datalog.service.DatalogService` front
   door with its LRU result cache, the path real traffic takes.
 
+The second-argument template ``?anc(X, $who)`` takes the same path: the
+bound-first information passing of the magic rewrite adorns its recursion
+``fb``, so a request searches backwards from ``$who`` instead of computing
+the whole closure.
+
 Acceptance gate (checked by ``test_prepared_speedup_at_least_3x``, which
 runs in the plain suite as well as under the benchmark harness): prepared
 execution of a magic-rewritten recursive query with a fresh constant must
@@ -40,10 +45,18 @@ CHAIN_COUNT = 600
 CHAIN_LENGTH = 8
 DATABASE = chain_forest(CHAIN_COUNT, CHAIN_LENGTH)
 ROOTS = [f"r{index}" for index in range(CHAIN_COUNT)]
+LEAVES = [f"r{index}n{CHAIN_LENGTH - 1}" for index in range(CHAIN_COUNT)]
 
 TEMPLATE = parse_program(
     """
     ?anc($who, Y)
+    anc(X, Y) :- par(X, Y).
+    anc(X, Y) :- anc(X, Z), par(Z, Y).
+    """
+)
+SECOND_ARGUMENT_TEMPLATE = parse_program(
+    """
+    ?anc(X, $who)
     anc(X, Y) :- par(X, Y).
     anc(X, Y) :- anc(X, Z), par(Z, Y).
     """
@@ -77,6 +90,38 @@ def test_parity_prepared_vs_adhoc():
         assert prepared.answers(who=constant) == expected
     batch = prepared.execute_many([{"who": who} for who in ROOTS[:16]])
     assert batch == [adhoc_answers(who) for who in ROOTS[:16]]
+
+
+def make_second_argument_prepared():
+    prepared = (
+        QuerySession(SECOND_ARGUMENT_TEMPLATE, DATABASE).with_transforms(MagicSets()).prepare()
+    )
+    prepared.plan()
+    return prepared
+
+
+def test_parity_second_argument_template():
+    """``?anc(X, $who)`` answers the unrestricted closure filtered on ``$who``."""
+    closure = QuerySession(
+        RULES_ONLY.with_goal(Atom("anc", (Variable("X"), Variable("Y")))), DATABASE
+    ).answers()
+    prepared = make_second_argument_prepared()
+    for who in (LEAVES[0], LEAVES[599], "r7n3", ROOTS[3]):
+        expected = frozenset((x,) for x, y in closure if y == who)
+        assert prepared.answers(who=who) == expected
+    assert len(prepared.answers(who=LEAVES[5])) == CHAIN_LENGTH
+
+
+def test_prepared_magic_second_argument_fresh_constant(benchmark):
+    prepared = make_second_argument_prepared()
+    counter = itertools.count()
+
+    def run():
+        return prepared.answers(who=LEAVES[next(counter) % CHAIN_COUNT])
+
+    answers = benchmark(run)
+    benchmark.extra_info["answers_per_query"] = len(answers)
+    benchmark.extra_info["database_facts"] = DATABASE.fact_count()
 
 
 def test_adhoc_magic_fresh_constant(benchmark):

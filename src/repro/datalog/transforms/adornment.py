@@ -1,17 +1,27 @@
-"""Adorned programs: binding-pattern propagation with left-to-right sideways information passing.
+"""Adorned programs: binding-pattern propagation with bound-first sideways information passing.
 
 Adornments are the bookkeeping device of the magic-set transformation
 ([5, 23] in the paper): an IDB predicate is annotated with a string over
 ``{b, f}`` describing which argument positions are bound when the predicate
 is called during a top-down evaluation of the goal.
+
+The sideways information-passing strategy (SIPS) fixes the order in which a
+rule body is evaluated, and so which bindings reach each body atom.  This
+module uses a *bound-first* SIPS: the next atom is the first remaining one
+(in source order) that carries a binding — a constant, a parameter, or an
+already-bound variable — and only when none does is the first remaining
+atom taken.  Under it ``reach(X, Y) :- reach(X, Z), edge(Z, Y)`` called
+with ``Y`` bound visits ``edge(Z, Y)`` first, so the recursive call is
+adorned ``fb`` and the goal ``?reach(X, c)`` propagates its selection.  A
+body that is already bound-first in source order is kept as written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.datalog.atoms import Atom
+from repro.datalog.atoms import Atom, NegatedAtom
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Parameter, Variable
@@ -34,6 +44,41 @@ def adornment_of_atom(atom: Atom, bound_variables: Set[Variable]) -> str:
         else:
             letters.append("f")
     return "".join(letters)
+
+
+def _carries_binding(atom: Atom, bound_variables: Set[Variable]) -> bool:
+    """Whether bound-first SIPS may visit *atom* now.
+
+    A positive atom qualifies once any argument is bound.  A negated literal
+    qualifies only once every variable in it is bound: it can filter
+    bindings but never produce them.
+    """
+    if isinstance(atom, NegatedAtom):
+        return all(variable in bound_variables for variable in atom.variables())
+    return any(
+        isinstance(term, (Constant, Parameter)) or term in bound_variables
+        for term in atom.terms
+    )
+
+
+def bound_first_order(body: Sequence[Atom], bound_variables: Set[Variable]) -> List[Atom]:
+    """*body* in bound-first SIPS order, given the head's bound variables.
+
+    Repeatedly take the first remaining atom that :func:`_carries_binding`;
+    when none does, take the first remaining positive atom.  Each visited
+    atom binds its variables for the atoms after it.
+    """
+    bound = set(bound_variables)
+    remaining = list(body)
+    ordered: List[Atom] = []
+    while remaining:
+        atom = next((a for a in remaining if _carries_binding(a, bound)), None)
+        if atom is None:
+            atom = next((a for a in remaining if not isinstance(a, NegatedAtom)), remaining[0])
+        remaining.remove(atom)
+        ordered.append(atom)
+        bound.update(atom.variables())
+    return ordered
 
 
 def adorned_name(predicate: str, adornment: str) -> str:
@@ -68,9 +113,11 @@ class AdornedProgram:
 
 
 def adorn_program(program: Program) -> AdornedProgram:
-    """Adorn *program* with respect to its goal, using left-to-right SIPS.
+    """Adorn *program* with respect to its goal, using bound-first SIPS.
 
-    The goal must be present and its predicate must be an IDB.  IDB
+    The goal must be present and its predicate must be an IDB.  Each
+    adorned rule's body is emitted in :func:`bound_first_order`, so the
+    magic rules built from its prefixes follow the same strategy.  IDB
     predicates in rule bodies are renamed to their adorned copies; EDB atoms
     are left untouched.
     """
@@ -98,7 +145,7 @@ def adorn_program(program: Program) -> AdornedProgram:
                 if letter == "b" and isinstance(term, Variable):
                     bound.add(term)
             new_body: List[Atom] = []
-            for atom in rule.body:
+            for atom in bound_first_order(rule.body, bound):
                 if atom.predicate in idb:
                     body_adornment = adornment_of_atom(atom, bound)
                     new_body.append(atom.rename_predicate(adorned_name(atom.predicate, body_adornment)))
@@ -122,3 +169,27 @@ def adornments_used(adorned: AdornedProgram) -> Dict[str, Set[str]]:
         predicate, adornment = split_adorned_name(rule.head.predicate)
         usage.setdefault(predicate, set()).add(adornment)
     return usage
+
+
+def describe_adornments(adorned: AdornedProgram) -> str:
+    """One line naming the adornments per predicate, flagging all-free ones.
+
+    Every adorned predicate is reachable from the goal, so an all-free
+    adornment (``reach__ff``) marks where the goal's selection stopped
+    propagating: that copy is computed in full.
+    """
+    usage = adornments_used(adorned)
+    listed = "; ".join(
+        f"{predicate} {', '.join(sorted(adornments))}"
+        for predicate, adornments in sorted(usage.items())
+    )
+    text = f"adornments: {listed}"
+    unbound = sorted(
+        adorned_name(predicate, adornment)
+        for predicate, adornments in usage.items()
+        for adornment in adornments
+        if adornment and "b" not in adornment
+    )
+    if unbound:
+        text += f"; selection not propagated into {', '.join(unbound)}"
+    return text

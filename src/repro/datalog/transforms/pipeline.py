@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Protocol, Tuple, runtime_checkable
 
 from repro.datalog.program import Program
+from repro.datalog.transforms.adornment import adorn_program, describe_adornments
 from repro.datalog.transforms.constants import propagate_goal_constant
 from repro.datalog.transforms.magic import magic_transform
 from repro.datalog.transforms.rectify import eliminate_zero_ary
@@ -85,7 +86,10 @@ class PipelineOutcome:
             delta = stage.rules_added
             sign = "+" if delta >= 0 else ""
             status = f"{sign}{delta} rules" if stage.changed() else "no change"
-            lines.append(f"{stage.name}: {status} -> {len(stage.output_program.rules)} total")
+            line = f"{stage.name}: {status} -> {len(stage.output_program.rules)} total"
+            if stage.name == MagicSets.name:
+                line += "; " + describe_adornments(adorn_program(stage.input_program))
+            lines.append(line)
         return "\n".join(lines)
 
 
@@ -156,8 +160,6 @@ class Adorn:
     name: str = "adorn"
 
     def apply(self, program: Program) -> Program:
-        from repro.datalog.transforms.adornment import adorn_program
-
         return adorn_program(program).program
 
 

@@ -251,3 +251,32 @@ class TestExecutionCounting:
         stats = service.statistics()
         assert stats["cache_hits"] == 1
         assert stats["executions"] == 1
+
+
+class TestSecondArgumentSelection:
+    """``?reach(X, $dst)``: bound-first SIPS propagates the binding backwards."""
+
+    RULES = """
+reach(X, Y) :- edge(X, Y).
+reach(X, Y) :- reach(X, Z), edge(Z, Y).
+"""
+
+    def test_every_destination_matches_the_filtered_closure(self):
+        from repro.datalog.workloads.graphs import preferential_attachment
+
+        database = preferential_attachment(40, 2, seed=3)
+        service = DatalogService(database)
+        service.register_program(
+            "reach_dst", "?reach(X, $dst)" + self.RULES, transforms=(MagicSets(),)
+        )
+        closure = QuerySession(parse_program("?reach(X, Y)" + self.RULES), database).evaluate()
+        for node in range(40):
+            expected = frozenset((x,) for x, y in closure.answers() if y == node)
+            assert service.execute("reach_dst", {"dst": node}, fresh=True) == expected
+
+        # The newest node is a sink (edges run old -> new): its read derives
+        # its ancestors' facts only, not the whole closure.
+        leaf = 39
+        assert not any(x == leaf for x, _ in database.relation("edge"))
+        read = service.prepare("reach_dst").execute({"dst": leaf})
+        assert read.statistics.facts_derived < len(closure.answers())

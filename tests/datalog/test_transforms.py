@@ -1,11 +1,25 @@
 """Unit tests for adornments, magic sets, constant propagation, and canonicalisation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.datalog import Database, get_engine, parse_program
+from repro.core.examples_catalog import same_generation_program
+from repro.datalog import (
+    Atom,
+    Constant,
+    Database,
+    Program,
+    Rule,
+    Variable,
+    get_engine,
+    parse_program,
+)
 
 evaluate_seminaive = get_engine("seminaive").evaluate
+from repro.datalog.atoms import NegatedAtom
 from repro.datalog.transforms import (
+    MagicSets,
+    Pipeline,
     adorn_program,
     adornments_used,
     binding_invariant_positions,
@@ -17,7 +31,14 @@ from repro.datalog.transforms import (
     propagate_goal_constant,
     rename_apart,
 )
+from repro.datalog.transforms.adornment import bound_first_order
 from repro.errors import ValidationError
+from tests.datalog.strategies import PROGRAM_POOL, edge_databases
+
+REACH_RULES = """
+reach(X, Y) :- edge(X, Y).
+reach(X, Y) :- reach(X, Z), edge(Z, Y).
+"""
 
 
 class TestAdornment:
@@ -44,6 +65,125 @@ class TestAdornment:
         program = parse_program("p(X, Y) :- b(X, Y).")
         with pytest.raises(ValidationError):
             adorn_program(program)
+
+
+class TestBoundFirstSips:
+    def test_second_argument_goal_propagates_backwards(self):
+        transformed = magic_transform(parse_program("?reach(X, $dst)" + REACH_RULES))
+        assert magic_predicates(transformed) == ["magic_reach__fb"]
+        assert not any("__ff" in predicate for predicate in transformed.predicate_arities())
+        assert "magic_reach__fb(Z) :- magic_reach__fb(Y), edge(Z, Y)." in {
+            str(rule) for rule in transformed.rules
+        }
+
+    def test_same_generation_second_argument_goal(self):
+        program = same_generation_program().program.with_goal(
+            Atom("sg", (Variable("X"), Constant("c")))
+        )
+        assert adornments_used(adorn_program(program)) == {"sg": {"fb"}}
+        assert magic_predicates(magic_transform(program)) == ["magic_sg__fb"]
+
+    def test_bound_first_ancestor_rewrites_unchanged(self, ancestor_a, ancestor_b, ancestor_c):
+        # Programs A, B and C are already bound-first for their bf goal: the
+        # rewrite is rule for rule what left-to-right information passing gave.
+        golden = {
+            "A": [
+                "magic_anc__bf(john).",
+                "magic_anc__bf(X) :- magic_anc__bf(X).",
+                "anc__bf(X, Y) :- magic_anc__bf(X), par(X, Y).",
+                "anc__bf(X, Y) :- magic_anc__bf(X), anc__bf(X, Z), par(Z, Y).",
+            ],
+            "B": [
+                "magic_anc__bf(john).",
+                "magic_anc__bf(Z) :- magic_anc__bf(X), par(X, Z).",
+                "anc__bf(X, Y) :- magic_anc__bf(X), par(X, Y).",
+                "anc__bf(X, Y) :- magic_anc__bf(X), par(X, Z), anc__bf(Z, Y).",
+            ],
+            "C": [
+                "magic_anc__bf(john).",
+                "magic_anc__bf(X) :- magic_anc__bf(X).",
+                "magic_anc__bf(Z) :- magic_anc__bf(X), anc__bf(X, Z).",
+                "anc__bf(X, Y) :- magic_anc__bf(X), par(X, Y).",
+                "anc__bf(X, Y) :- magic_anc__bf(X), anc__bf(X, Z), anc__bf(Z, Y).",
+            ],
+        }
+        for name, chain in (("A", ancestor_a), ("B", ancestor_b), ("C", ancestor_c)):
+            assert [str(rule) for rule in magic_transform(chain.program).rules] == golden[name]
+
+    def test_negated_literal_waits_for_its_binders(self, family_database):
+        program = parse_program(
+            """
+            ?r(X, sue)
+            blocked(X) :- par(X, tim).
+            t(X, Y) :- par(X, Y).
+            r(X, Y) :- not blocked(Z), t(X, Z), par(Z, Y).
+            """
+        )
+        adorned = adorn_program(program)
+        (rule,) = [r for r in adorned.program.rules if r.head.predicate == "r__fb"]
+        assert [str(atom) for atom in rule.body] == [
+            "par(Z, Y)",
+            "not blocked__b(Z)",
+            "t__fb(X, Z)",
+        ]
+        x, y = Variable("X"), Variable("Y")
+        for terms in ((x, Constant("sue")), (x, Constant("tim")), (Constant("john"), y), (x, y)):
+            variant = program.with_goal(Atom("r", terms))
+            original = evaluate_seminaive(variant, family_database).answers()
+            rewritten = evaluate_seminaive(adorn_program(variant).program, family_database)
+            assert rewritten.answers() == original
+        # The negation filters: blocked(sue) drops (mary, tim).
+        assert original == {("john", "sue"), ("ann", "carl")}
+
+    def test_negated_literal_never_taken_as_fallback(self):
+        q = NegatedAtom("q", (Variable("X"),))
+        s_atom = Atom("s", (Variable("X"),))
+        assert bound_first_order([q, s_atom], set()) == [s_atom, q]
+
+    def test_explain_flags_all_free_adornment(self):
+        program = parse_program(
+            """
+            ?p(c, Y)
+            p(X, Y) :- e(X, Y), q(Z, W).
+            q(X, Y) :- e(X, Y).
+            """
+        )
+        text = Pipeline([MagicSets()]).apply(program).describe()
+        assert "adornments: p bf; q ff" in text
+        assert "selection not propagated into q__ff" in text
+        bound = Pipeline([MagicSets()]).apply(parse_program("?reach(X, c)" + REACH_RULES))
+        assert "adornments: reach fb" in bound.describe()
+        assert "not propagated" not in bound.describe()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(PROGRAM_POOL),
+        edge_databases(),
+        st.sampled_from(["bf", "fb", "bb"]),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4),
+        st.data(),
+    )
+    def test_body_permutation_keeps_magic_answers(
+        self, program, database, pattern, first, second, data
+    ):
+        """Metamorphic relation: permuting rule bodies changes no magic answer.
+
+        The SIPS breaks ties by source order, so a permutation can change
+        which adorned copies and magic rules are generated; the answers
+        must not change.
+        """
+        terms = (
+            Constant(first) if pattern[0] == "b" else Variable("X"),
+            Constant(second) if pattern[1] == "b" else Variable("Y"),
+        )
+        goal = Atom(program.goal.predicate, terms)
+        permuted = Program(
+            tuple(Rule(rule.head, data.draw(st.permutations(rule.body))) for rule in program.rules),
+            goal,
+        )
+        expected = evaluate_seminaive(magic_transform(program.with_goal(goal)), database).answers()
+        assert evaluate_seminaive(magic_transform(permuted), database).answers() == expected
 
 
 class TestMagicSets:
